@@ -533,7 +533,7 @@ impl ExecPlan {
         &self.node_deps[i]
     }
 
-    /// Run the sanitizer's static plan check against the captured
+    /// Run the sanitizer's capture-time check against the captured
     /// schedule, borrowing the plan's tables instead of rebuilding a
     /// `DispatchPlan`. Called exactly once, at capture time.
     pub fn validate(&self, san: &mut sanitizer::Sanitizer) {
@@ -553,12 +553,7 @@ impl ExecPlan {
                 deps: &self.node_deps[i],
             })
             .collect();
-        if certified {
-            san.check_plan_ref_certified(&self.label, &nodes);
-        } else {
-            san.check_plan_ref(&self.label, &nodes);
-        }
-        san.lint_plan_nodes(&self.label, &nodes, self.num_events > 0, certified);
+        san.check_captured(&self.label, &nodes, self.num_events > 0, certified);
     }
 }
 

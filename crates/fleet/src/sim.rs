@@ -16,7 +16,7 @@ use gpu_sim::{Fabric, SimTime};
 use nn::models::UnknownModelError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sanitizer::Sanitizer;
+use sanitizer::{SanitizeMode, Sanitizer};
 use serve::{
     Admission, BatchDecision, ClassQueue, ClassedRequest, EngineOptions, PoissonArrivals,
     ServeConfig, ServingEngine,
@@ -139,9 +139,11 @@ impl FleetSim {
             queue_capacity: self.cfg.queue_capacity,
             seed: self.cfg.seed,
         };
+        // The cross-device check replays every replica's command log, so
+        // a full-mode replica only checks its plans.
         let opts = EngineOptions {
             timing_only: self.cfg.engine.timing_only,
-            sanitize: self.cfg.engine.sanitize,
+            sanitize: self.cfg.engine.sanitize.map(SanitizeMode::without_replay),
         };
         let mut engine = ServingEngine::new_with(&serve_cfg, opts)?;
         engine.warmup(self.cfg.policy.max_batch);

@@ -405,6 +405,12 @@ impl Device {
             .push_back(Command::WaitEvent(event));
     }
 
+    /// Whether `event` has ever been recorded into a stream (a wait on an
+    /// event that never was can never be satisfied).
+    pub fn event_recorded(&self, event: EventId) -> bool {
+        !matches!(self.events[event.0 as usize], EventState::Created)
+    }
+
     /// Completion time of `event`, if completed.
     pub fn event_time(&self, event: EventId) -> Option<SimTime> {
         match self.events[event.0 as usize] {

@@ -220,19 +220,20 @@ impl DataParallelTrainer {
         self.replicas.iter().any(|(_, ctx)| ctx.compute)
     }
 
-    /// Enable schedule sanitizing on every replica (plan validation +
-    /// per-device happens-before replay) and on the merged cross-device
-    /// fabric trace.
+    /// Enable schedule sanitizing: plan validation on every replica and,
+    /// under [`SanitizeMode::Full`], happens-before replay of the merged
+    /// cross-device fabric trace. The merged replay covers every command
+    /// of every replica, so replicas only ever check their plans.
     pub fn sanitize(mut self, mode: SanitizeMode) -> Self {
         for (_, ctx) in &mut self.replicas {
-            ctx.sanitizer = Sanitizer::new(mode);
+            ctx.sanitizer = Sanitizer::new(mode.without_replay());
         }
         self.sanitizer = Sanitizer::new(mode);
         self
     }
 
-    /// All sanitizer diagnostics accumulated so far (per-replica checks
-    /// first, then merged fabric checks).
+    /// All sanitizer diagnostics accumulated so far (per-replica plan
+    /// checks first, then the merged fabric replay).
     pub fn diagnostics(&self) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         for (_, ctx) in &self.replicas {
@@ -607,10 +608,7 @@ impl DataParallelTrainer {
             }
         }
         let comm_ns = span.map_or(0, |(s, e)| e - s);
-        if self.sanitizer.is_full() || self.replicas.iter().any(|(_, c)| c.sanitizer.is_full()) {
-            for (_, ctx) in &mut self.replicas {
-                ctx.sanitizer.check_device(&ctx.device);
-            }
+        if self.sanitizer.is_full() {
             let views: Vec<&Device> = self.replicas.iter().map(|(_, c)| &c.device).collect();
             self.sanitizer.check_fabric(&self.fabric, &views);
         }

@@ -1,109 +1,145 @@
-//! Cross-device happens-before race detection over a fabric of devices.
+//! Happens-before race detection over recorded command logs — the
+//! sanitizer's only dynamic replayer. A single device is replayed as a
+//! fabric of one.
 //!
-//! The per-device replay ([`crate::hb`]) sees one command log at a time and
-//! cannot follow a peer-to-peer copy to the other side. This module replays
-//! *all* device logs of a [`Fabric`](gpu_sim::Fabric) together:
+//! The engine records every host-issued stream command ([`CmdRecord`]);
+//! the replay runs the logs of all devices together with one vector clock
+//! per `(device, stream)`, CUDA semantics:
 //!
-//! - clocks are keyed by `(device, stream)`;
+//! - a stream executes its commands in FIFO order;
+//! - `record(e)` snapshots the recording stream's clock into `e`;
+//! - `wait(e)` joins `e`'s snapshot into the waiting stream's clock — and
+//!   can only fire after the record has (the engine blocks a wait enqueued
+//!   before its record until the event completes). A wait on an event
+//!   recorded before the replayed suffix joins already-checked history; a
+//!   wait on an event never recorded at all can never fire;
 //! - a `CopySrc` is an access-carrying node — it **reads** the declared
 //!   source range on the source device and **writes** the declared
 //!   destination range on the destination device — and records a per-copy
-//!   virtual event;
-//! - a `CopyDst` waits on that virtual event, giving the cross-device
-//!   happens-before edge;
-//! - a device's own [`CmdRecord::Sync`] markers are per-device barriers:
+//!   virtual event; a `CopyDst` waits on that virtual event, giving the
+//!   cross-device happens-before edge. Without a [`Fabric`] to describe
+//!   them, copy halves are skipped (their edges cross devices);
+//! - a device's own [`CmdRecord::Sync`] markers (completed
+//!   [`run`](gpu_sim::Device::run) episodes) are per-device barriers:
 //!   commands of a later sync phase join the barrier clock of everything
 //!   the device completed in earlier phases (device logs do **not** need
 //!   the same number of sync markers — each device's phases advance
 //!   independently, which is exactly what happens when replicas run
 //!   eagerly and only meet inside `Fabric::run`).
 //!
+//! Two access-carrying nodes with overlapping accesses (at least one
+//! write) whose clocks are incomparable are a data race. A replay that
+//! stalls (a wait whose event is never recorded, or waits forming a
+//! cycle) is a deadlock.
+//!
 //! Buffers live in **per-device address spaces**: the same buffer label on
 //! two replicas names two different allocations (layers derive labels from
 //! layer names, identical across replicas), so accesses conflict only when
-//! they touch the same byte range of the same buffer *on the same device*.
-//! A copy's destination write participates in the destination device's
-//! space — the edge the fault-injection tests exercise.
+//! they touch the same byte range of the same buffer *on the same device*
+//! and in the same sync phase. A copy's destination write participates in
+//! the destination device's space — the edge the fault-injection tests
+//! exercise.
 
 use crate::report::{ConflictSite, Diagnostic, DiagnosticKind, KernelRef};
 use gpu_sim::{AccessSet, CmdRecord, Device, Fabric, MemAccess, StreamId};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet, VecDeque};
 
-/// Merged-replay clock key: a stream of a particular device.
+/// Replay clock key: a stream of a particular device.
 type Key = (usize, StreamId);
 
-/// One access-carrying node of the merged replay (a kernel launch or a
+/// A vector clock over replay keys.
+type Clock = HashMap<Key, u64>;
+
+/// One access-carrying node of the replay (a kernel launch or a
 /// peer-to-peer copy).
-struct Node {
-    name: String,
+struct Node<'a> {
+    name: &'a str,
     tag: u64,
     key: Key,
     epoch: u64,
-    clock: HashMap<Key, u64>,
+    clock: Clock,
+    /// Position in the replayed log (see [`Fifo::queue`]).
     log_index: usize,
     /// Accesses, each in a `(device, sync phase)` address-space bucket.
-    accesses: Vec<(usize, usize, AccessSet)>,
+    accesses: Vec<(usize, usize, Cow<'a, AccessSet>)>,
 }
 
-impl Node {
-    fn happens_before(&self, other: &Node) -> bool {
+impl Node<'_> {
+    fn happens_before(&self, other: &Node<'_>) -> bool {
         other.clock.get(&self.key).copied().unwrap_or(0) >= self.epoch
     }
 }
 
-fn read_set(a: MemAccess) -> AccessSet {
-    AccessSet {
-        reads: vec![a],
-        writes: vec![],
-    }
+/// The commands one stream issued in one sync phase of its device.
+struct Fifo {
+    key: Key,
+    phase: usize,
+    /// `(log index, command)`: the index is relative to the start of the
+    /// replayed suffix in a multi-device replay and to the start of the
+    /// sync phase for a lone device.
+    queue: VecDeque<(usize, CmdRecord)>,
+    /// Whether the device's barrier clock has been joined into the
+    /// stream's clock for this phase.
+    joined: bool,
 }
 
-fn write_set(a: MemAccess) -> AccessSet {
-    AccessSet {
-        reads: vec![],
-        writes: vec![a],
+/// Advance `key`'s own component of `clock`; returns the new epoch.
+fn tick(clock: &mut Clock, key: Key) -> u64 {
+    let e = clock.entry(key).or_insert(0);
+    *e += 1;
+    *e
+}
+
+fn join(into: &mut Clock, from: &Clock) {
+    for (k, t) in from {
+        let e = into.entry(*k).or_insert(0);
+        *e = (*e).max(*t);
     }
 }
 
 /// Replay per-device log suffixes together, appending diagnostics to
-/// `out`. Returns `(access_nodes_replayed, pairs_compared)`.
-pub(crate) fn check_fabric_logs(
-    fabric: &Fabric,
+/// `out`. With a `fabric` the replay follows peer-to-peer copies and
+/// reports under `fabric-trace`; without one (`devs` then holds a single
+/// device) copy halves are skipped and findings use the single-device
+/// wording under `device-trace`. Returns `(launches_replayed,
+/// pairs_compared)`.
+pub(crate) fn check_logs(
+    fabric: Option<&Fabric>,
     devs: &[&Device],
     logs: &[&[CmdRecord]],
-    context: &str,
     out: &mut Vec<Diagnostic>,
 ) -> (u64, u64) {
     debug_assert_eq!(devs.len(), logs.len());
+    let merged = fabric.is_some();
 
-    // ---- partition into per-(device, stream) FIFOs, tagging each command
-    // with its device's sync phase -------------------------------------
-    struct Fifo {
-        queue: VecDeque<(usize, usize, CmdRecord)>, // (log index, phase, cmd)
-        /// Barrier clock of phases < N already joined into the stream.
-        joined_phase: usize,
-    }
-    let mut fifos: HashMap<Key, Fifo> = HashMap::new();
-    let mut key_order: Vec<Key> = Vec::new();
+    // ---- partition into per-(device, phase, stream) FIFOs -------------
+    let mut fifos: Vec<Fifo> = Vec::new();
+    let mut fifo_of: HashMap<(usize, usize, StreamId), usize> = HashMap::new();
     // Commands per (device, phase), for barrier completion tracking.
     let mut phase_totals: Vec<Vec<usize>> = vec![Vec::new(); devs.len()];
     // Destination-side sync phase of each copy (address-space bucket of
     // its landing write).
     let mut copy_dst_phase: HashMap<u64, usize> = HashMap::new();
-    // Events / copies whose record half appears in these suffixes; waits
-    // on anything older are joins with pre-suffix history, already ordered
-    // by the completed episodes the cursor skipped.
+    // Events / copies whose record half appears in these suffixes.
     let mut recorded_events: HashSet<(usize, u64)> = HashSet::new();
     let mut recorded_copies: HashSet<u64> = HashSet::new();
 
     for (d, log) in logs.iter().enumerate() {
         let mut phase = 0usize;
+        let mut phase_start = 0usize;
         for (i, c) in log.iter().enumerate() {
             let sid = match c {
                 CmdRecord::Sync => {
-                    phase += 1;
+                    // A sync with nothing before it in the suffix orders
+                    // nothing: phases are never empty.
+                    if phase_totals[d].len() > phase {
+                        phase += 1;
+                    }
+                    phase_start = i + 1;
                     continue;
                 }
+                CmdRecord::CopySrc { .. } | CmdRecord::CopyDst { .. } if !merged => continue,
                 CmdRecord::Launch { stream, .. }
                 | CmdRecord::RecordEvent { stream, .. }
                 | CmdRecord::WaitEvent { stream, .. }
@@ -122,75 +158,69 @@ pub(crate) fn check_fabric_logs(
                 }
                 _ => {}
             }
-            if phase_totals[d].len() <= phase {
-                phase_totals[d].resize(phase + 1, 0);
+            if phase_totals[d].len() == phase {
+                phase_totals[d].push(0);
             }
             phase_totals[d][phase] += 1;
-            let key = (d, sid);
-            if !fifos.contains_key(&key) {
-                key_order.push(key);
-            }
-            fifos
-                .entry(key)
-                .or_insert_with(|| Fifo {
+            let f = *fifo_of.entry((d, phase, sid)).or_insert_with(|| {
+                fifos.push(Fifo {
+                    key: (d, sid),
+                    phase,
                     queue: VecDeque::new(),
-                    joined_phase: 0,
-                })
-                .queue
-                .push_back((i, phase, *c));
+                    joined: phase == 0,
+                });
+                fifos.len() - 1
+            });
+            let log_index = if merged { i } else { i - phase_start };
+            fifos[f].queue.push_back((log_index, *c));
         }
     }
 
     // ---- worklist replay ---------------------------------------------
-    let mut clocks: HashMap<Key, HashMap<Key, u64>> = HashMap::new();
-    let mut event_clock: HashMap<(usize, u64), HashMap<Key, u64>> = HashMap::new();
-    let mut copy_clock: HashMap<u64, HashMap<Key, u64>> = HashMap::new();
-    let mut nodes: Vec<Node> = Vec::new();
+    // Drain any FIFO whose head command can fire. A wait enqueued before
+    // its record is legal (the engine blocks on it), so issue order alone
+    // cannot drive the replay.
+    let mut clocks: HashMap<Key, Clock> = HashMap::new();
+    let mut event_clock: HashMap<(usize, u64), Clock> = HashMap::new();
+    let mut copy_clock: HashMap<u64, Clock> = HashMap::new();
+    let mut nodes: Vec<Node<'_>> = Vec::new();
+    let mut launches = 0u64;
     // Per-device barrier: clock joining everything in completed phases,
     // and how many phases have completed.
-    let mut barrier: Vec<HashMap<Key, u64>> = vec![HashMap::new(); devs.len()];
+    let mut barrier: Vec<Clock> = vec![HashMap::new(); devs.len()];
     let mut barrier_phase: Vec<usize> = vec![0; devs.len()];
     let mut phase_fired: Vec<Vec<usize>> = phase_totals.iter().map(|t| vec![0; t.len()]).collect();
 
     loop {
         let mut progressed = false;
-        for &key in &key_order {
-            let (d, _sid) = key;
-            loop {
-                let fifo = fifos.get_mut(&key).expect("fifo exists");
-                let Some(&(log_index, phase, cmd)) = fifo.queue.front() else {
-                    break;
-                };
-                // Per-device barrier: a command of phase p may only fire
-                // once all of its device's commands in phases < p fired.
-                if barrier_phase[d] < phase {
-                    break;
-                }
-                if fifo.joined_phase < phase {
-                    fifo.joined_phase = phase;
-                    let b = barrier[d].clone();
-                    let clock = clocks.entry(key).or_default();
-                    for (k, t) in b {
-                        let e = clock.entry(k).or_insert(0);
-                        *e = (*e).max(t);
-                    }
-                }
+        for fifo in &mut fifos {
+            let (key, phase) = (fifo.key, fifo.phase);
+            let d = key.0;
+            // Per-device barrier: a command of phase p may only fire once
+            // all of its device's commands in phases < p fired.
+            if barrier_phase[d] < phase {
+                continue;
+            }
+            if !fifo.joined {
+                fifo.joined = true;
+                join(clocks.entry(key).or_default(), &barrier[d]);
+            }
+            while let Some(&(log_index, cmd)) = fifo.queue.front() {
                 match cmd {
                     CmdRecord::Launch { kernel, .. } => {
+                        launches += 1;
                         let clock = clocks.entry(key).or_default();
-                        let epoch = clock.entry(key).or_insert(0);
-                        *epoch += 1;
-                        let epoch = *epoch;
+                        let epoch = tick(clock, key);
                         let desc = devs[d].kernel_desc(kernel);
                         if !desc.accesses.is_empty() {
                             nodes.push(Node {
-                                name: desc.name.to_string(),
+                                name: desc.name.as_str(),
                                 tag: desc.tag,
                                 key,
                                 epoch,
                                 clock: clock.clone(),
                                 log_index,
-                                accesses: vec![(d, phase, desc.accesses.clone())],
+                                accesses: vec![(d, phase, Cow::Borrowed(&desc.accesses))],
                             });
                         }
                     }
@@ -200,16 +230,13 @@ pub(crate) fn check_fabric_logs(
                     }
                     CmdRecord::WaitEvent { event, .. } => {
                         match event_clock.get(&(d, event.raw())) {
-                            Some(ev) => {
-                                let ev = ev.clone();
-                                let clock = clocks.entry(key).or_default();
-                                for (k, t) in ev {
-                                    let e = clock.entry(k).or_insert(0);
-                                    *e = (*e).max(t);
-                                }
-                            }
-                            None if recorded_events.contains(&(d, event.raw())) => {
-                                break; // blocked: record not yet replayed
+                            Some(ev) => join(clocks.entry(key).or_default(), ev),
+                            // Blocked: the record is still to be replayed,
+                            // or never happens at all.
+                            None if recorded_events.contains(&(d, event.raw()))
+                                || !devs[d].event_recorded(event) =>
+                            {
+                                break;
                             }
                             // Recorded before these suffixes: the wait is
                             // a join with already-checked history.
@@ -217,18 +244,18 @@ pub(crate) fn check_fabric_logs(
                         }
                     }
                     CmdRecord::CopySrc { copy, .. } => {
+                        let fabric = fabric.expect("copy halves are only queued with a fabric");
                         let desc = fabric.copy_desc(copy);
                         let clock = clocks.entry(key).or_default();
-                        let epoch = clock.entry(key).or_insert(0);
-                        *epoch += 1;
-                        let epoch = *epoch;
+                        let epoch = tick(clock, key);
                         copy_clock.insert(copy.raw(), clock.clone());
-                        let mut accesses = vec![(desc.src, phase, read_set(desc.src_access))];
+                        let mut accesses =
+                            vec![(desc.src, phase, Cow::Owned(read_set(desc.src_access)))];
                         if let Some(&dp) = copy_dst_phase.get(&copy.raw()) {
-                            accesses.push((desc.dst, dp, write_set(desc.dst_access)));
+                            accesses.push((desc.dst, dp, Cow::Owned(write_set(desc.dst_access))));
                         }
                         nodes.push(Node {
-                            name: desc.name.to_string(),
+                            name: desc.name.as_str(),
                             tag: copy.raw(),
                             key,
                             epoch,
@@ -237,44 +264,27 @@ pub(crate) fn check_fabric_logs(
                             accesses,
                         });
                     }
-                    CmdRecord::CopyDst { copy, .. } => {
-                        match copy_clock.get(&copy.raw()) {
-                            Some(cc) => {
-                                let cc = cc.clone();
-                                let clock = clocks.entry(key).or_default();
-                                for (k, t) in cc {
-                                    let e = clock.entry(k).or_insert(0);
-                                    *e = (*e).max(t);
-                                }
-                            }
-                            None if recorded_copies.contains(&copy.raw()) => {
-                                break; // blocked: source half not replayed
-                            }
-                            None => {} // copy resolved before these suffixes
+                    CmdRecord::CopyDst { copy, .. } => match copy_clock.get(&copy.raw()) {
+                        Some(cc) => join(clocks.entry(key).or_default(), cc),
+                        None if recorded_copies.contains(&copy.raw()) => {
+                            break; // blocked: source half not replayed
                         }
-                    }
+                        None => {} // copy resolved before these suffixes
+                    },
                     CmdRecord::Sync => {}
                 }
                 fifo.queue.pop_front();
                 progressed = true;
                 // Barrier bookkeeping: completing the last command of the
                 // device's current phase freezes the barrier clock and
-                // unlocks the next phase (skipping empty phases).
+                // unlocks the next phase.
                 phase_fired[d][phase] += 1;
-                while barrier_phase[d] < phase_totals[d].len()
-                    && phase_fired[d][barrier_phase[d]] == phase_totals[d][barrier_phase[d]]
-                {
-                    let mut b = std::mem::take(&mut barrier[d]);
-                    for (k, clock) in clocks.iter() {
-                        if k.0 != d {
-                            continue;
-                        }
-                        for (ck, t) in clock {
-                            let e = b.entry(*ck).or_insert(0);
-                            *e = (*e).max(*t);
+                if phase_fired[d][phase] == phase_totals[d][phase] {
+                    for (k, clock) in &clocks {
+                        if k.0 == d {
+                            join(&mut barrier[d], clock);
                         }
                     }
-                    barrier[d] = b;
                     barrier_phase[d] += 1;
                 }
             }
@@ -284,41 +294,53 @@ pub(crate) fn check_fabric_logs(
         }
     }
 
+    let context = if merged {
+        "fabric-trace"
+    } else {
+        "device-trace"
+    };
+
     // ---- deadlock detection ------------------------------------------
-    let stuck: Vec<String> = key_order
+    // Only FIFOs past their device's barrier can be blocked on a wait;
+    // the rest are waiting for the stalled phase to drain.
+    let stuck: Vec<String> = fifos
         .iter()
-        .filter_map(|key| {
-            let f = &fifos[key];
-            f.queue.front().map(|&(i, _, c)| {
-                let what = match c {
-                    CmdRecord::WaitEvent { event, .. } => {
-                        format!("waiting on event {}", event.raw())
-                    }
-                    CmdRecord::CopyDst { copy, .. } => {
-                        format!("waiting on copy {}", copy.raw())
-                    }
-                    _ => "blocked behind its device's sync barrier".to_string(),
-                };
-                format!(
-                    "device {} stream {} blocked at log[{i}] {what}",
-                    key.0,
-                    key.1.raw()
-                )
+        .filter(|f| barrier_phase[f.key.0] >= f.phase)
+        .filter_map(|f| {
+            let &(i, c) = f.queue.front()?;
+            let what = match c {
+                CmdRecord::WaitEvent { event, .. } => format!("waiting on event {}", event.raw()),
+                CmdRecord::CopyDst { copy, .. } => format!("waiting on copy {}", copy.raw()),
+                _ => unreachable!("only waits can block a stream past its barrier"),
+            };
+            let (d, sid) = f.key;
+            Some(if merged {
+                format!("device {d} stream {} blocked at log[{i}] {what}", sid.raw())
+            } else {
+                format!("stream {} blocked at log[{i}] {what}", sid.raw())
             })
         })
         .collect();
     if !stuck.is_empty() {
+        let detail = if merged {
+            format!(
+                "fabric trace replay deadlocks: {} (a copy or event half is \
+                 missing, or waits form a cross-device cycle)",
+                stuck.join("; ")
+            )
+        } else {
+            format!(
+                "trace replay deadlocks: {} (event never recorded, or waits form a cycle)",
+                stuck.join("; ")
+            )
+        };
         out.push(Diagnostic {
             kind: DiagnosticKind::EventWaitCycle,
             context: context.to_string(),
             first: None,
             second: None,
             site: None,
-            detail: format!(
-                "fabric trace replay deadlocks: {} (a copy or event half is \
-                 missing, or waits form a cross-device cycle)",
-                stuck.join("; ")
-            ),
+            detail,
         });
     }
 
@@ -334,6 +356,16 @@ pub(crate) fn check_fabric_logs(
     }
     let mut bucket_keys: Vec<(usize, usize)> = buckets.keys().copied().collect();
     bucket_keys.sort_unstable();
+    let node_ref = |n: &Node<'_>| KernelRef {
+        name: if merged {
+            format!("dev{}:{}", n.key.0, n.name)
+        } else {
+            n.name.to_string()
+        },
+        tag: n.tag,
+        stream: Some(n.key.1.raw()),
+        index: n.log_index,
+    };
     let mut pairs = 0u64;
     let mut reported: HashSet<(usize, usize)> = HashSet::new();
     for bk in bucket_keys {
@@ -351,12 +383,6 @@ pub(crate) fn check_fabric_logs(
                 }
                 if let Some(c) = a.accesses[ai].2.conflict_with(&b.accesses[aj].2) {
                     reported.insert((ni, nj));
-                    let node_ref = |n: &Node| KernelRef {
-                        name: format!("dev{}:{}", n.key.0, n.name),
-                        tag: n.tag,
-                        stream: Some(n.key.1.raw()),
-                        index: n.log_index,
-                    };
                     out.push(Diagnostic {
                         kind: DiagnosticKind::DataRace,
                         context: context.to_string(),
@@ -367,17 +393,37 @@ pub(crate) fn check_fabric_logs(
                             overlap: c.overlap,
                             hazard: c.hazard(),
                         }),
-                        detail: format!(
-                            "no copy edge, event, or stream order makes these \
-                             happens-before ordered on device {}",
-                            bk.0
-                        ),
+                        detail: if merged {
+                            format!(
+                                "no copy edge, event, or stream order makes these \
+                                 happens-before ordered on device {}",
+                                bk.0
+                            )
+                        } else {
+                            "no event or stream order makes these two launches \
+                             happens-before ordered"
+                                .to_string()
+                        },
                     });
                 }
             }
         }
     }
-    (nodes.len() as u64, pairs)
+    (launches, pairs)
+}
+
+fn read_set(a: MemAccess) -> AccessSet {
+    AccessSet {
+        reads: vec![a],
+        writes: vec![],
+    }
+}
+
+fn write_set(a: MemAccess) -> AccessSet {
+    AccessSet {
+        reads: vec![],
+        writes: vec![a],
+    }
 }
 
 #[cfg(test)]
@@ -406,7 +452,7 @@ mod tests {
     fn check(fabric: &Fabric, devs: &[&Device]) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         let logs: Vec<&[CmdRecord]> = devs.iter().map(|d| d.command_log()).collect();
-        check_fabric_logs(fabric, devs, &logs, "test", &mut out);
+        check_logs(Some(fabric), devs, &logs, &mut out);
         out
     }
 
@@ -567,7 +613,7 @@ mod tests {
         let fab = Fabric::new(1);
         let suffix = &dev.command_log()[cut..];
         let mut out = Vec::new();
-        check_fabric_logs(&fab, &[&dev], &[suffix], "test", &mut out);
+        check_logs(Some(&fab), &[&dev], &[suffix], &mut out);
         assert_eq!(out, vec![]);
     }
 }

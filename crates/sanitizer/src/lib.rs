@@ -8,15 +8,21 @@
 //! dependency is preserved. This crate turns that claim from an argument
 //! into a machine-checked property, in two layers:
 //!
-//! - **Static plan checking** ([`plan::DispatchPlan`]): given the schedule
-//!   a dispatcher is about to execute — kernels, target streams, declared
-//!   dependencies — prove chunk output regions pairwise disjoint, flag
-//!   RAW/WAW/WAR hazards not covered by a declared dep or stream order,
-//!   and detect event-wait cycles (deadlock). All before anything runs.
-//! - **Dynamic happens-before checking** ([`hb`]): replay the device's
-//!   recorded command trace (launch, event record/wait, synchronize) with
-//!   per-stream vector clocks and report any pair of overlapping accesses
-//!   (at least one write) unordered by happens-before.
+//! - **Static checking** ([`plan`]): given the schedule a dispatcher is
+//!   about to execute — kernels, target streams, declared dependencies —
+//!   derive its happens-before relation once (`plan::HbRelation`) and
+//!   read every static fact from it: chunk output regions pairwise
+//!   disjoint, RAW/WAW/WAR hazards not covered by a declared dep or
+//!   stream order, event-wait cycles (deadlock), and — with a [`Linter`]
+//!   attached — the plan lints. All before anything runs, once per
+//!   capture ([`Sanitizer::check_captured`]).
+//! - **Dynamic happens-before checking** ([`fabric`]): replay the recorded
+//!   command trace (launch, event record/wait, peer-to-peer copy,
+//!   synchronize) with per-stream vector clocks and report any pair of
+//!   overlapping accesses (at least one write) unordered by
+//!   happens-before. One replayer serves a single device
+//!   ([`Sanitizer::check_device`], a fabric of one) and a fabric of
+//!   devices joined by copies ([`Sanitizer::check_fabric`]).
 //!
 //! Both layers consume the declared memory access sets on
 //! [`gpu_sim::KernelDesc`] ([`gpu_sim::AccessSet`]); kernels that declare
@@ -27,21 +33,21 @@
 
 pub mod diag;
 pub mod fabric;
-pub mod hb;
 pub mod lint;
 pub mod plan;
 pub mod report;
 pub mod symbolic;
 
 pub use diag::{LintCode, LintDiag, Severity};
-pub use lint::{LintConfig, LintStats, Linter, PlanLintSummary};
-pub use plan::{DispatchPlan, PlanNode, PlanNodeRef};
+pub use lint::{LintConfig, LintStats, Linter};
+pub use plan::{DispatchPlan, PlanNodeRef};
 pub use report::{ConflictSite, Diagnostic, DiagnosticKind, KernelRef};
 pub use symbolic::{
     SymAccess, SymAccessSet, SymConflict, SymGroupSpec, SymKernel, SymRange, SymVerdict,
 };
 
 use gpu_sim::{CmdRecord, Device, Fabric, KernelDesc};
+use plan::HbRelation;
 use std::collections::HashMap;
 
 /// How much checking the runtime should do.
@@ -58,6 +64,18 @@ pub enum SanitizeMode {
     Full,
 }
 
+impl SanitizeMode {
+    /// This mode without dynamic replay: the mode for a device whose
+    /// commands a merged [`Sanitizer::check_fabric`] replays instead, so
+    /// every command is replayed once.
+    pub fn without_replay(self) -> Self {
+        match self {
+            SanitizeMode::Full => SanitizeMode::PlanOnly,
+            m => m,
+        }
+    }
+}
+
 /// Counters describing how much checking actually happened — so tests can
 /// assert the sanitizer ran, not just that it stayed silent.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -70,7 +88,8 @@ pub struct SanitizerStats {
     pub plans_checked: u64,
     /// Launches replayed by the dynamic checker.
     pub trace_kernels: u64,
-    /// Launch pairs compared by the dynamic checker.
+    /// Access-carrying command pairs (launches and copies) compared by
+    /// the dynamic checker.
     pub trace_pairs: u64,
     /// Symbolic disjointness proofs run (one per dispatch site, cached).
     pub symbolic_proofs: u64,
@@ -198,7 +217,9 @@ impl Sanitizer {
     }
 
     /// Attach a plan linter; captured plans are linted as they are
-    /// validated and symbolic findings (PL002/PL004) are mirrored into it.
+    /// checked ([`check_captured`](Sanitizer::check_captured), so a
+    /// sanitizer that is off lints nothing) and symbolic findings
+    /// (PL002/PL004) are mirrored into it.
     pub fn attach_linter(&mut self, cfg: LintConfig) {
         self.linter = Some(Linter::new(cfg));
     }
@@ -221,8 +242,8 @@ impl Sanitizer {
     /// Returns `true` iff the capture is **certified**: the spec is
     /// symbolically proven hazard-free for all shapes and every concrete
     /// group conforms to it — in which case no pairwise comparison ran
-    /// and the caller may also skip the plan-level pair scan
-    /// ([`check_plan_ref_certified`](Sanitizer::check_plan_ref_certified)).
+    /// and the caller may also skip the plan-level pair scan (pass
+    /// `certified` to [`check_captured`](Sanitizer::check_captured)).
     /// Any other outcome (refuted, unsupported, mismatch, forced
     /// baseline) returns `false`; unsupported/mismatch fall back to
     /// [`check_chunks`](Sanitizer::check_chunks), a refutation is
@@ -328,76 +349,86 @@ impl Sanitizer {
         }
     }
 
-    /// Structure-only plan check (dangling deps, wait cycles) for
-    /// captures admitted by a symbolic certificate: hazard-freedom is
-    /// already proven, so the O(n²) pair scan of
-    /// [`check_plan_ref`](Sanitizer::check_plan_ref) is skipped.
-    pub fn check_plan_ref_certified(&mut self, label: &str, nodes: &[PlanNodeRef<'_>]) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.stats.plans_checked += 1;
-        plan::check_nodes(label, nodes, &mut self.reports, false);
-    }
-
-    /// Lint a captured plan through the attached linter, if any. Returns
-    /// the per-plan finding counts, or `None` when no linter is attached.
-    pub fn lint_plan_nodes(
+    /// Capture-time check of a frozen schedule, given as borrowed node
+    /// views: dangling deps, event-wait cycles (deadlock) and — unless
+    /// `certified` says a symbolic certificate already proves
+    /// hazard-freedom — every conflicting kernel pair that no declared
+    /// dependency or stream order covers. The plan's happens-before
+    /// relation is derived once; with a linter attached, each finding is
+    /// also recorded as its PL001/PL003 lint and the remaining plan lints
+    /// (PW001–PW003, PL005) read the same relation. `records_events` says
+    /// whether the plan records events (enables PW003).
+    pub fn check_captured(
         &mut self,
         label: &str,
         nodes: &[PlanNodeRef<'_>],
         records_events: bool,
-        hazards_proven: bool,
-    ) -> Option<PlanLintSummary> {
-        self.linter
-            .as_mut()
-            .map(|l| l.lint_plan(label, nodes, records_events, hazards_proven))
-    }
-
-    /// Static check of a dispatch plan: out-of-range deps, event-wait
-    /// cycles, and hazards not covered by declared deps or stream order.
-    pub fn check_plan(&mut self, plan: &DispatchPlan) {
+        certified: bool,
+    ) {
         if !self.is_enabled() {
             return;
         }
-        self.stats.plans_checked += 1;
-        self.stats.plan_pairs += plan.check(&mut self.reports);
-    }
-
-    /// Static check of a schedule given as borrowed node views — the
-    /// zero-copy form of [`check_plan`](Sanitizer::check_plan), used to
-    /// validate a captured execution plan exactly once at capture time
-    /// without rebuilding a [`DispatchPlan`].
-    pub fn check_plan_ref(&mut self, label: &str, nodes: &[PlanNodeRef<'_>]) {
-        if !self.is_enabled() {
-            return;
+        let rel = HbRelation::new(nodes);
+        if let Some(l) = &mut self.linter {
+            l.begin_plan(nodes.len());
         }
-        self.stats.plans_checked += 1;
-        self.stats.plan_pairs += plan::check_nodes(label, nodes, &mut self.reports, true);
+        if self.check_relation(label, &rel, !certified, true) {
+            if let Some(l) = &mut self.linter {
+                l.lint(label, &rel, records_events);
+            }
+        }
     }
 
     /// Static check of a kernel DAG (stream-agnostic): every pair of
     /// conflicting kernels must be ordered by the dependency closure —
     /// otherwise *some* legal schedule races. Pass the graph as
     /// `(nodes, deps)` slices (e.g. `KernelGraph::nodes()` +
-    /// `KernelGraph::all_deps()`).
+    /// `KernelGraph::all_deps()`). The graph is not linted.
     pub fn check_graph(&mut self, context: &str, nodes: &[KernelDesc], deps: &[Vec<usize>]) {
         if !self.is_enabled() {
             return;
         }
         // A graph is a plan with every node on its own stream: the only
         // ordering left is the declared dependency closure.
-        let mut plan = DispatchPlan::new(context);
-        for (i, k) in nodes.iter().enumerate() {
-            let d = deps.get(i).map(Vec::as_slice).unwrap_or(&[]);
-            plan.add(k.clone(), i, d);
+        let refs: Vec<PlanNodeRef<'_>> = nodes
+            .iter()
+            .enumerate()
+            .map(|(i, kernel)| PlanNodeRef {
+                kernel,
+                stream: i,
+                deps: deps.get(i).map_or(&[], Vec::as_slice),
+            })
+            .collect();
+        self.check_relation(context, &HbRelation::new(&refs), true, false);
+    }
+
+    /// Run the static check over `rel`, mirroring findings into the
+    /// attached linter when `lint` is set. Returns whether the relation is
+    /// acyclic (so later analyses may read it).
+    fn check_relation(
+        &mut self,
+        label: &str,
+        rel: &HbRelation<'_, '_>,
+        scan_pairs: bool,
+        lint: bool,
+    ) -> bool {
+        self.stats.plans_checked += 1;
+        let linter = self.linter.as_mut().filter(|_| lint);
+        match plan::check(label, rel, scan_pairs, &mut self.reports, linter) {
+            Some(pairs) => {
+                self.stats.plan_pairs += pairs;
+                true
+            }
+            None => false,
         }
-        self.check_plan(&plan);
     }
 
     /// Dynamic check: replay the portion of `dev`'s command log recorded
     /// since the last call, with vector clocks, reporting unordered
-    /// conflicting launches and stalled (deadlocked) replays.
+    /// conflicting launches and stalled (deadlocked) replays. A device is
+    /// replayed as a fabric of one; peer-to-peer copy halves in its log
+    /// are skipped (their edges cross devices — use
+    /// [`check_fabric`](Sanitizer::check_fabric) for those).
     pub fn check_device(&mut self, dev: &Device) {
         if !self.is_full() {
             return;
@@ -406,18 +437,10 @@ impl Sanitizer {
         if self.log_cursor >= log.len() {
             return;
         }
-        // Only replay whole sync-delimited segments plus the (possibly
-        // unfinished) tail; the cursor always advances to the log end, and
-        // commands before the cursor are already ordered against commands
-        // after it by the completed run() they precede.
-        let (kernels, pairs) = hb::check_log(
-            dev,
-            &log[self.log_cursor..],
-            "device-trace",
-            &mut self.reports,
-        );
+        let (launches, pairs) =
+            fabric::check_logs(None, &[dev], &[&log[self.log_cursor..]], &mut self.reports);
         self.log_cursor = log.len();
-        self.stats.trace_kernels += kernels;
+        self.stats.trace_kernels += launches;
         self.stats.trace_pairs += pairs;
     }
 
@@ -426,9 +449,9 @@ impl Sanitizer {
     /// peer-to-peer copies across device boundaries. A copy reads its
     /// source range on the source device and writes its destination range
     /// on the destination device; the destination-side wait marker is the
-    /// happens-before edge consumers must be ordered behind. Use this (in
-    /// addition to per-device [`check_device`](Sanitizer::check_device))
-    /// whenever devices exchange data through a [`Fabric`].
+    /// happens-before edge consumers must be ordered behind. This replays
+    /// every command of every device, so devices checked here need no
+    /// [`check_device`](Sanitizer::check_device) of their own.
     pub fn check_fabric(&mut self, fabric: &Fabric, devs: &[&Device]) {
         if !self.is_full() {
             return;
@@ -442,12 +465,11 @@ impl Sanitizer {
         if logs.iter().all(|l| l.is_empty()) {
             return;
         }
-        let (kernels, pairs) =
-            fabric::check_fabric_logs(fabric, devs, &logs, "fabric-trace", &mut self.reports);
+        let (launches, pairs) = fabric::check_logs(Some(fabric), devs, &logs, &mut self.reports);
         for (cur, d) in self.fabric_cursors.iter_mut().zip(devs) {
             *cur = d.command_log().len();
         }
-        self.stats.trace_kernels += kernels;
+        self.stats.trace_kernels += launches;
         self.stats.trace_pairs += pairs;
     }
 
@@ -597,6 +619,156 @@ mod tests {
         san.check_graph("g", &nodes, &[vec![], vec![]]);
         assert_eq!(san.reports().len(), 1);
         assert_eq!(san.reports()[0].kind, DiagnosticKind::MissingDependency);
+    }
+
+    /// Replay `dev`'s whole log through a fresh full-mode sanitizer.
+    fn replay(dev: &Device) -> Vec<Diagnostic> {
+        let mut san = Sanitizer::new(SanitizeMode::Full);
+        san.check_device(dev);
+        san.take_reports()
+    }
+
+    #[test]
+    fn same_stream_conflicts_are_ordered() {
+        let buf = BufferId::from_label("hb/a");
+        let mut dev = Device::new(DeviceProps::p100());
+        let s = dev.create_stream();
+        dev.launch(s, kernel("w0").writes(buf, ByteRange::new(0, 64)));
+        dev.launch(s, kernel("w1").writes(buf, ByteRange::new(0, 64)));
+        dev.run();
+        assert_eq!(replay(&dev), vec![]);
+    }
+
+    #[test]
+    fn cross_stream_unordered_write_is_a_race() {
+        let buf = BufferId::from_label("hb/b");
+        let mut dev = Device::new(DeviceProps::p100());
+        let s0 = dev.create_stream();
+        let s1 = dev.create_stream();
+        dev.launch(s0, kernel("w0").writes(buf, ByteRange::new(0, 64)));
+        dev.launch(s1, kernel("w1").writes(buf, ByteRange::new(32, 96)));
+        dev.run();
+        let out = replay(&dev);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].kind, DiagnosticKind::DataRace);
+        let s = out[0].to_string();
+        assert!(s.contains("`w0`") && s.contains("`w1`"), "{s}");
+        assert!(s.contains("[32, 64)"), "{s}");
+    }
+
+    #[test]
+    fn event_order_suppresses_the_race() {
+        let buf = BufferId::from_label("hb/c");
+        let mut dev = Device::new(DeviceProps::p100());
+        let s0 = dev.create_stream();
+        let s1 = dev.create_stream();
+        dev.launch(s0, kernel("w0").writes(buf, ByteRange::new(0, 64)));
+        let ev = dev.create_event();
+        dev.record_event(s0, ev);
+        dev.wait_event(s1, ev);
+        dev.launch(s1, kernel("w1").writes(buf, ByteRange::new(0, 64)));
+        dev.run();
+        assert_eq!(replay(&dev), vec![]);
+    }
+
+    #[test]
+    fn wait_enqueued_before_record_still_orders() {
+        // Host issues s1's wait before s0's record — legal, the engine
+        // blocks s1. The worklist replay must handle it.
+        let buf = BufferId::from_label("hb/d");
+        let mut dev = Device::new(DeviceProps::p100());
+        let s0 = dev.create_stream();
+        let s1 = dev.create_stream();
+        let ev = dev.create_event();
+        dev.wait_event(s1, ev);
+        dev.launch(s0, kernel("w0").writes(buf, ByteRange::new(0, 64)));
+        dev.record_event(s0, ev);
+        dev.launch(s1, kernel("w1").writes(buf, ByteRange::new(0, 64)));
+        dev.run();
+        assert_eq!(replay(&dev), vec![]);
+    }
+
+    #[test]
+    fn sync_orders_across_run_episodes() {
+        let buf = BufferId::from_label("hb/e");
+        let mut dev = Device::new(DeviceProps::p100());
+        let s0 = dev.create_stream();
+        let s1 = dev.create_stream();
+        dev.launch(s0, kernel("w0").writes(buf, ByteRange::new(0, 64)));
+        dev.run();
+        dev.launch(s1, kernel("w1").writes(buf, ByteRange::new(0, 64)));
+        dev.run();
+        assert_eq!(replay(&dev), vec![], "run() is a device-wide barrier");
+    }
+
+    #[test]
+    fn wait_on_event_recorded_in_an_earlier_episode_is_not_a_deadlock() {
+        // The event is recorded in one run() episode and waited on from
+        // another stream in the next; replaying both episodes in one call
+        // must treat the wait as satisfied, not as a stalled replay.
+        let buf = BufferId::from_label("hb/x");
+        let mut dev = Device::new(DeviceProps::p100());
+        let s0 = dev.create_stream();
+        let s1 = dev.create_stream();
+        let ev = dev.create_event();
+        dev.launch(s0, kernel("w0").writes(buf, ByteRange::new(0, 64)));
+        dev.record_event(s0, ev);
+        dev.run();
+        dev.wait_event(s1, ev);
+        dev.launch(s1, kernel("w1").writes(buf, ByteRange::new(0, 64)));
+        dev.run();
+        let mut san = Sanitizer::new(SanitizeMode::Full);
+        san.check_device(&dev);
+        assert_eq!(san.reports(), &[]);
+        assert_eq!(san.stats().trace_kernels, 2);
+    }
+
+    #[test]
+    fn suffix_starting_at_a_sync_still_replays() {
+        // Checking before run() leaves the cursor in front of that run's
+        // sync marker; the next suffix then starts with it.
+        let buf = BufferId::from_label("hb/g");
+        let mut dev = Device::new(DeviceProps::p100());
+        let s0 = dev.create_stream();
+        let s1 = dev.create_stream();
+        let mut san = Sanitizer::new(SanitizeMode::Full);
+        dev.launch(s0, kernel("w0").writes(buf, ByteRange::new(0, 64)));
+        san.check_device(&dev);
+        dev.run();
+        dev.launch(s0, kernel("w1").writes(buf, ByteRange::new(0, 64)));
+        dev.launch(s1, kernel("w2").writes(buf, ByteRange::new(0, 64)));
+        dev.run();
+        san.check_device(&dev);
+        assert_eq!(san.reports().len(), 1, "{:?}", san.reports());
+        assert_eq!(san.reports()[0].kind, DiagnosticKind::DataRace);
+        assert_eq!(san.stats().trace_kernels, 3);
+    }
+
+    #[test]
+    fn undeclared_kernels_are_skipped() {
+        let mut dev = Device::new(DeviceProps::p100());
+        let s0 = dev.create_stream();
+        let s1 = dev.create_stream();
+        dev.launch(s0, kernel("k0"));
+        dev.launch(s1, kernel("k1"));
+        dev.run();
+        let mut san = Sanitizer::new(SanitizeMode::Full);
+        san.check_device(&dev);
+        assert_eq!(san.reports(), &[]);
+        assert_eq!(san.stats().trace_kernels, 2, "every launch is replayed");
+        assert_eq!(san.stats().trace_pairs, 0, "only declared accesses pair up");
+    }
+
+    #[test]
+    fn read_read_overlap_is_not_a_race() {
+        let buf = BufferId::from_label("hb/f");
+        let mut dev = Device::new(DeviceProps::p100());
+        let s0 = dev.create_stream();
+        let s1 = dev.create_stream();
+        dev.launch(s0, kernel("r0").reads(buf, ByteRange::new(0, 64)));
+        dev.launch(s1, kernel("r1").reads(buf, ByteRange::new(0, 64)));
+        dev.run();
+        assert_eq!(replay(&dev), vec![]);
     }
 
     #[test]

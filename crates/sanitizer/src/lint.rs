@@ -1,13 +1,14 @@
 //! The plan linter: static analyses over a frozen schedule.
 //!
-//! Where the sanitizer's plan checker ([`crate::plan`]) answers "can this
-//! plan race or deadlock?", the linter also answers "is this plan
-//! needlessly slow?" — once, at capture time, against the same borrowed
-//! [`PlanNodeRef`] views. Findings carry stable codes ([`LintCode`]):
+//! Where the capture-time check ([`crate::plan`]) answers "can this plan
+//! race or deadlock?", the linter also answers "is this plan needlessly
+//! slow?" — once, at capture time, reading the same `HbRelation`.
+//! Findings carry stable codes ([`LintCode`]):
 //!
 //! - **PL001** unordered hazard, **PL003** wait cycle / dangling wait —
-//!   the correctness analyses, re-expressed as lint findings (and skipped
-//!   entirely when a symbolic certificate already proves hazard-freedom);
+//!   the capture-time check's findings, re-expressed as lint findings as
+//!   it makes them (the PL001 scan is skipped when a symbolic certificate
+//!   already proves hazard-freedom);
 //! - **PL005** peak live-buffer footprint vs. device memory, from
 //!   per-buffer lifetime intervals over the plan;
 //! - **PW001** redundant synchronization: an event edge already implied
@@ -22,7 +23,7 @@
 //! byte-identical across runs.
 
 use crate::diag::{LintCode, LintDiag, Severity};
-use crate::plan::{hb_edges, PlanNodeRef};
+use crate::plan::HbRelation;
 use gpu_sim::DeviceProps;
 use std::collections::BTreeMap;
 
@@ -63,15 +64,6 @@ pub struct LintStats {
     pub notes: u64,
 }
 
-/// Per-plan finding counts returned by [`Linter::lint_plan`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanLintSummary {
-    /// Correctness (`PLxxx`) findings on this plan.
-    pub correctness: usize,
-    /// Performance (`PWxxx`) findings on this plan.
-    pub performance: usize,
-}
-
 /// Accumulates lint findings across captured plans.
 #[derive(Debug)]
 pub struct Linter {
@@ -82,7 +74,7 @@ pub struct Linter {
 
 impl Linter {
     /// Linter judging against the given device thresholds.
-    pub fn new(cfg: LintConfig) -> Self {
+    pub(crate) fn new(cfg: LintConfig) -> Self {
         Linter {
             cfg,
             diags: Vec::new(),
@@ -130,138 +122,23 @@ impl Linter {
         self.stats
     }
 
-    /// Run every analysis over one frozen plan.
+    /// Count one more plan of `nodes` nodes as linted.
+    pub(crate) fn begin_plan(&mut self, nodes: usize) {
+        self.stats.plans_linted += 1;
+        self.stats.nodes += nodes as u64;
+    }
+
+    /// The plan lints that read an acyclic happens-before relation:
+    /// PW001, PW002, PW003 and PL005 (PL001/PL003 are emitted by the
+    /// capture-time check, [`crate::plan::check`], alongside its
+    /// diagnostics).
     ///
     /// `records_events` says whether the plan actually records events
     /// (graph-captured plans do; round-robin chain plans synchronize
-    /// implicitly and get no PW003 analysis). `hazards_proven` says a
-    /// symbolic certificate already proved cross-chunk hazard-freedom for
-    /// this plan's kernels, so the O(n²) PL001 pair scan is skipped.
-    pub fn lint_plan(
-        &mut self,
-        label: &str,
-        nodes: &[PlanNodeRef<'_>],
-        records_events: bool,
-        hazards_proven: bool,
-    ) -> PlanLintSummary {
-        self.stats.plans_linted += 1;
-        self.stats.nodes += nodes.len() as u64;
-        let before = self.diags.len();
+    /// implicitly and get no PW003 analysis).
+    pub(crate) fn lint(&mut self, label: &str, rel: &HbRelation<'_, '_>, records_events: bool) {
+        let nodes = rel.nodes();
         let n = nodes.len();
-
-        // PL003 (a): waits on nodes outside the plan can never fire.
-        for (i, node) in nodes.iter().enumerate() {
-            for &d in node.deps {
-                if d >= n {
-                    self.push(LintDiag {
-                        code: LintCode::WaitCycle,
-                        plan: label.to_string(),
-                        node: Some(i),
-                        message: format!(
-                            "node {i} waits on nonexistent node {d} (plan has {n} nodes)"
-                        ),
-                        notes: vec![],
-                    });
-                }
-            }
-        }
-
-        // Shared happens-before machinery: same edges as the plan checker.
-        let succ = hb_edges(nodes);
-        let mut indeg = vec![0usize; n];
-        for outs in &succ {
-            for &j in outs {
-                indeg[j] += 1;
-            }
-        }
-        let mut queue: std::collections::VecDeque<usize> =
-            (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(i) = queue.pop_front() {
-            order.push(i);
-            for &j in &succ[i] {
-                indeg[j] -= 1;
-                if indeg[j] == 0 {
-                    queue.push_back(j);
-                }
-            }
-        }
-        if order.len() < n {
-            // PL003 (b): a wait cycle. Everything downstream needs an
-            // acyclic relation, so stop after reporting.
-            let stuck: Vec<String> = (0..n)
-                .filter(|&i| indeg[i] > 0)
-                .take(4)
-                .map(|i| i.to_string())
-                .collect();
-            self.push(LintDiag {
-                code: LintCode::WaitCycle,
-                plan: label.to_string(),
-                node: None,
-                message: format!(
-                    "{} of {n} kernels can never start: event waits form a cycle through nodes {}",
-                    n - order.len(),
-                    stuck.join(", ")
-                ),
-                notes: vec![],
-            });
-            return self.summarize(before);
-        }
-
-        // Transitive closure as bitsets, in reverse topological order.
-        let words = n.div_ceil(64);
-        let mut reach: Vec<Vec<u64>> = vec![vec![0u64; words]; n];
-        for &i in order.iter().rev() {
-            for &j in &succ[i] {
-                let (row_j, row_i) = if i < j {
-                    let (a, b) = reach.split_at_mut(j);
-                    (&b[0], &mut a[i])
-                } else {
-                    let (a, b) = reach.split_at_mut(i);
-                    (&a[j], &mut b[0])
-                };
-                for w in 0..words {
-                    row_i[w] |= row_j[w];
-                }
-                reach[i][j / 64] |= 1 << (j % 64);
-            }
-        }
-        let reaches = |a: usize, b: usize| reach[a][b / 64] >> (b % 64) & 1 == 1;
-
-        // PL001: conflicting kernels with no HB ordering (the pair scan a
-        // symbolic certificate makes unnecessary).
-        if !hazards_proven {
-            for i in 0..n {
-                if nodes[i].kernel.accesses.is_empty() {
-                    continue;
-                }
-                for j in (i + 1)..n {
-                    if nodes[j].kernel.accesses.is_empty() || reaches(i, j) || reaches(j, i) {
-                        continue;
-                    }
-                    if let Some(c) = nodes[i]
-                        .kernel
-                        .accesses
-                        .conflict_with(&nodes[j].kernel.accesses)
-                    {
-                        self.push(LintDiag {
-                            code: LintCode::UnorderedHazard,
-                            plan: label.to_string(),
-                            node: Some(i),
-                            message: format!(
-                                "nodes {i} (`{}`) and {j} (`{}`) race: {} on {} over {}",
-                                nodes[i].kernel.name,
-                                nodes[j].kernel.name,
-                                c.hazard(),
-                                c.buffer,
-                                c.overlap
-                            ),
-                            notes: vec![],
-                        });
-                    }
-                }
-            }
-        }
 
         // PW001: event edges outside the transitive reduction. An event
         // edge is a declared cross-stream dep d → i; it is redundant iff
@@ -272,7 +149,11 @@ impl Linter {
                 if d >= n || d == i || nodes[d].stream == node.stream {
                     continue;
                 }
-                let via = succ[d].iter().copied().find(|&w| w != i && reaches(w, i));
+                let via = rel
+                    .succ(d)
+                    .iter()
+                    .copied()
+                    .find(|&w| w != i && rel.reaches(w, i));
                 if let Some(w) = via {
                     self.push(LintDiag {
                         code: LintCode::RedundantSync,
@@ -308,7 +189,7 @@ impl Linter {
             }
             // Ordered through some other path anyway (the FIFO edge is not
             // what serializes them).
-            let alt = succ[p].iter().any(|&w| w != c && reaches(w, c));
+            let alt = rel.succ(p).iter().any(|&w| w != c && rel.reaches(w, c));
             if alt {
                 continue;
             }
@@ -434,20 +315,6 @@ impl Linter {
                 notes: vec![],
             });
         }
-
-        self.summarize(before)
-    }
-
-    fn summarize(&self, before: usize) -> PlanLintSummary {
-        let mut s = PlanLintSummary::default();
-        for d in &self.diags[before..] {
-            if d.code.is_correctness() {
-                s.correctness += 1;
-            } else {
-                s.performance += 1;
-            }
-        }
-        s
     }
 }
 
@@ -455,6 +322,7 @@ impl Linter {
 mod tests {
     use super::*;
     use crate::plan::DispatchPlan;
+    use crate::{SanitizeMode, Sanitizer};
     use gpu_sim::{BufferId, ByteRange, Dim3, KernelCost, KernelDesc, LaunchConfig};
 
     fn cfg() -> LintConfig {
@@ -472,10 +340,37 @@ mod tests {
         )
     }
 
-    fn lint(plan: &DispatchPlan, records_events: bool) -> (Linter, PlanLintSummary) {
-        let mut l = Linter::new(cfg());
-        let s = l.lint_plan(&plan.label, &plan.node_refs(), records_events, false);
-        (l, s)
+    /// Finding counts of one linted plan.
+    struct Summary {
+        correctness: usize,
+        performance: usize,
+    }
+
+    /// Lint `plan` through the capture-time entry point; returns the
+    /// findings and their counts by kind.
+    fn lint_with(
+        cfg: LintConfig,
+        plan: &DispatchPlan,
+        records_events: bool,
+        certified: bool,
+    ) -> (Vec<LintDiag>, Summary) {
+        let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
+        san.attach_linter(cfg);
+        san.check_captured(&plan.label, &plan.node_refs(), records_events, certified);
+        let diags = san.linter_mut().expect("linter attached").take_diags();
+        let correctness = diags.iter().filter(|d| d.code.is_correctness()).count();
+        let performance = diags.len() - correctness;
+        (
+            diags,
+            Summary {
+                correctness,
+                performance,
+            },
+        )
+    }
+
+    fn lint(plan: &DispatchPlan, records_events: bool) -> (Vec<LintDiag>, Summary) {
+        lint_with(cfg(), plan, records_events, false)
     }
 
     #[test]
@@ -487,9 +382,9 @@ mod tests {
         p.add(kernel("c"), 2, &[b, a]);
         let (l, s) = lint(&p, true);
         assert_eq!(s.performance, 1 + 1, "PW001 plus PW003 for unused events");
-        let codes: Vec<&str> = l.diags().iter().map(|d| d.code.code()).collect();
+        let codes: Vec<&str> = l.iter().map(|d| d.code.code()).collect();
         assert!(codes.contains(&"PW001"), "{codes:?}");
-        let d = l.diags().iter().find(|d| d.code.code() == "PW001").unwrap();
+        let d = l.iter().find(|d| d.code.code() == "PW001").unwrap();
         assert!(d.message.contains("implied via node 1"), "{}", d.message);
     }
 
@@ -499,7 +394,7 @@ mod tests {
         let a = p.add(kernel("a"), 0, &[]);
         p.add(kernel("b"), 1, &[a]);
         let (l, _) = lint(&p, false);
-        assert!(l.diags().iter().all(|d| d.code.code() != "PW001"));
+        assert!(l.iter().all(|d| d.code.code() != "PW001"));
     }
 
     #[test]
@@ -510,8 +405,8 @@ mod tests {
         p.add(kernel("w1").writes(buf, ByteRange::new(64, 128)), 0, &[]);
         let (l, s) = lint(&p, false);
         assert_eq!(s.performance, 1);
-        assert_eq!(l.diags()[0].code.code(), "PW002");
-        assert!(l.diags()[0].message.contains("stream 0"));
+        assert_eq!(l[0].code.code(), "PW002");
+        assert!(l[0].message.contains("stream 0"));
     }
 
     #[test]
@@ -548,10 +443,9 @@ mod tests {
         p.add(kernel("w1").writes(buf, ByteRange::new(32, 96)), 1, &[]);
         let (l, s) = lint(&p, false);
         assert_eq!(s.correctness, 1);
-        assert_eq!(l.diags()[0].code.code(), "PL001");
+        assert_eq!(l[0].code.code(), "PL001");
         // With a certificate the scan is skipped.
-        let mut l2 = Linter::new(cfg());
-        let s2 = l2.lint_plan(&p.label, &p.node_refs(), false, true);
+        let (_, s2) = lint_with(cfg(), &p, false, true);
         assert_eq!(s2.correctness, 0);
     }
 
@@ -562,40 +456,36 @@ mod tests {
         p.add(kernel("k1"), 1, &[0]);
         let (l, s) = lint(&p, false);
         assert_eq!(s.correctness, 1);
-        assert_eq!(l.diags()[0].code.code(), "PL003");
+        assert_eq!(l[0].code.code(), "PL003");
 
         let mut p = DispatchPlan::new("t");
         p.add(kernel("k"), 0, &[9]);
         let (l, _) = lint(&p, false);
-        assert!(l.diags().iter().any(|d| d.message.contains("nonexistent")));
+        assert!(l.iter().any(|d| d.message.contains("nonexistent")));
     }
 
     #[test]
     fn over_capacity_footprint_is_pl005() {
-        let mut l = Linter::new(LintConfig {
+        let cfg = LintConfig {
             mem_bytes: 100,
             max_resident_threads: 1 << 16,
-        });
+        };
         let buf = BufferId::from_label("lint/d");
         let mut p = DispatchPlan::new("t");
         p.add(kernel("w").writes(buf, ByteRange::new(0, 200)), 0, &[]);
-        let s = l.lint_plan(&p.label, &p.node_refs(), false, false);
+        let (l, s) = lint_with(cfg, &p, false, false);
         assert_eq!(s.correctness, 1);
-        assert_eq!(l.diags()[0].code.code(), "PL005");
-        assert!(
-            l.diags()[0].message.contains("200 B"),
-            "{}",
-            l.diags()[0].message
-        );
+        assert_eq!(l[0].code.code(), "PL005");
+        assert!(l[0].message.contains("200 B"), "{}", l[0].message);
     }
 
     #[test]
     fn disjoint_lifetimes_do_not_sum() {
         // Two 80-byte buffers, never live together: peak 80 < 100.
-        let mut l = Linter::new(LintConfig {
+        let cfg = LintConfig {
             mem_bytes: 100,
             max_resident_threads: 1 << 16,
-        });
+        };
         let (b1, b2) = (
             BufferId::from_label("lint/e1"),
             BufferId::from_label("lint/e2"),
@@ -603,8 +493,8 @@ mod tests {
         let mut p = DispatchPlan::new("t");
         let a = p.add(kernel("w1").writes(b1, ByteRange::new(0, 80)), 0, &[]);
         p.add(kernel("w2").writes(b2, ByteRange::new(0, 80)), 0, &[a]);
-        let s = l.lint_plan(&p.label, &p.node_refs(), false, false);
-        assert_eq!(s.correctness, 0, "{}", l.render());
+        let (l, s) = lint_with(cfg, &p, false, false);
+        assert_eq!(s.correctness, 0, "{}", crate::diag::render_all(&l));
     }
 
     #[test]
@@ -615,18 +505,21 @@ mod tests {
         assert_eq!(lint(&p, false).1.performance, 0);
         let (l, s) = lint(&p, true);
         assert_eq!(s.performance, 1);
-        assert_eq!(l.diags()[0].code.code(), "PW003");
+        assert_eq!(l[0].code.code(), "PW003");
     }
 
     #[test]
     fn stats_count_by_severity() {
         let buf = BufferId::from_label("lint/f");
-        let mut l = Linter::new(cfg());
+        let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
+        san.attach_linter(cfg());
         let mut p = DispatchPlan::new("t");
         p.add(kernel("w0").writes(buf, ByteRange::new(0, 64)), 0, &[]);
         p.add(kernel("w1").writes(buf, ByteRange::new(32, 96)), 1, &[]);
-        l.lint_plan(&p.label, &p.node_refs(), false, false);
-        assert_eq!(l.stats().plans_linted, 1);
-        assert_eq!(l.stats().errors, 1);
+        san.check_captured(&p.label, &p.node_refs(), false, false);
+        let stats = san.linter().expect("linter attached").stats();
+        assert_eq!(stats.plans_linted, 1);
+        assert_eq!(stats.nodes, 2);
+        assert_eq!(stats.errors, 1);
     }
 }

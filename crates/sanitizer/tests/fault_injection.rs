@@ -45,7 +45,8 @@ fn dropped_dep_in_plan_is_a_missing_dependency() {
     // separate streams. Clean.
     let groups: Vec<Vec<KernelDesc>> = (0..4).map(sample_chain).collect();
     let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
-    san.check_plan(&DispatchPlan::round_robin("good", &groups, 4));
+    let good = DispatchPlan::round_robin("good", &groups, 4);
+    san.check_captured(&good.label, &good.node_refs(), false, false);
     assert_eq!(san.reports(), &[], "correct plan must be silent");
 
     // Fault: rebuild the same schedule by hand but put sample 0's sgemm on
@@ -55,7 +56,7 @@ fn dropped_dep_in_plan_is_a_missing_dependency() {
     let chain = sample_chain(0);
     plan.add(chain[0].clone(), 0, &[]);
     plan.add(chain[1].clone(), 1, &[]); // should have been deps = [0]
-    san.check_plan(&plan);
+    san.check_captured(&plan.label, &plan.node_refs(), false, false);
     assert_eq!(san.reports().len(), 1);
     let d = &san.reports()[0];
     assert_eq!(d.kind, DiagnosticKind::MissingDependency);
@@ -99,7 +100,7 @@ fn circular_plan_deps_are_an_event_wait_cycle() {
     plan.add(kernel("a"), 0, &[1]);
     plan.add(kernel("b"), 1, &[0]);
     let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
-    san.check_plan(&plan);
+    san.check_captured(&plan.label, &plan.node_refs(), false, false);
     assert!(san
         .reports()
         .iter()

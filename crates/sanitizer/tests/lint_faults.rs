@@ -50,8 +50,7 @@ fn redundant_event_edge_surfaces_as_pw001() {
     p.add(kernel("c"), 2, &[b, a]);
     let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
     san.attach_linter(cfg());
-    san.check_plan(&p);
-    san.lint_plan_nodes("lf/redundant", &p.node_refs(), true, false);
+    san.check_captured("lf/redundant", &p.node_refs(), true, false);
     assert!(san.reports().is_empty(), "{:?}", san.reports());
     assert!(
         lint_codes(&san).contains(&"PW001"),
@@ -68,8 +67,7 @@ fn same_stream_independent_pair_surfaces_as_pw002() {
     p.add(kernel("w1").writes(buf, ByteRange::new(64, 128)), 0, &[]);
     let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
     san.attach_linter(cfg());
-    san.check_plan(&p);
-    san.lint_plan_nodes("lf/serial", &p.node_refs(), false, false);
+    san.check_captured("lf/serial", &p.node_refs(), false, false);
     assert!(san.reports().is_empty(), "{:?}", san.reports());
     assert_eq!(lint_codes(&san), vec!["PW002"]);
 }
@@ -81,7 +79,7 @@ fn unconsumed_events_surface_as_pw003() {
     p.add(kernel("b"), 1, &[]);
     let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
     san.attach_linter(cfg());
-    san.lint_plan_nodes("lf/unused", &p.node_refs(), true, false);
+    san.check_captured("lf/unused", &p.node_refs(), true, false);
     assert_eq!(lint_codes(&san), vec!["PW003"]);
 }
 
@@ -162,7 +160,7 @@ fn over_capacity_buffer_set_surfaces_as_pl005() {
         0,
         &[a],
     );
-    san.lint_plan_nodes("lf/oom", &p.node_refs(), false, false);
+    san.check_captured("lf/oom", &p.node_refs(), false, false);
     assert_eq!(lint_codes(&san), vec!["PL005"]);
     let rendered = san.linter().unwrap().render();
     assert!(rendered.contains("1200 B"), "{rendered}");
@@ -183,8 +181,7 @@ fn rendering_is_byte_identical_across_runs() {
         p.add(kernel("d").writes(buf, ByteRange::new(192, 256)), 2, &[]);
         let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
         san.attach_linter(cfg());
-        san.check_plan(&p);
-        san.lint_plan_nodes("lf/det", &p.node_refs(), true, false);
+        san.check_captured("lf/det", &p.node_refs(), true, false);
         san.linter().unwrap().render()
     };
     let first = run();

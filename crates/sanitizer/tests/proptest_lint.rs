@@ -10,7 +10,10 @@
 
 use gpu_sim::{Dim3, KernelCost, KernelDesc, LaunchConfig};
 use proptest::prelude::*;
-use sanitizer::{DispatchPlan, LintConfig, Linter, SymGroupSpec, SymKernel, SymRange, SymVerdict};
+use sanitizer::{
+    DispatchPlan, LintConfig, SanitizeMode, Sanitizer, SymGroupSpec, SymKernel, SymRange,
+    SymVerdict,
+};
 use std::collections::BTreeSet;
 
 fn kernel(name: &str) -> KernelDesc {
@@ -94,12 +97,15 @@ proptest! {
         for i in 0..n {
             plan.add(kernel("k"), streams[i], &deps[i]);
         }
-        let mut linter = Linter::new(LintConfig {
+        let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
+        san.attach_linter(LintConfig {
             mem_bytes: 1 << 40,
             max_resident_threads: 1 << 16,
         });
-        linter.lint_plan("pt/hb", &plan.node_refs(), false, true);
-        let flagged: BTreeSet<(usize, usize)> = linter
+        san.check_captured("pt/hb", &plan.node_refs(), false, true);
+        let flagged: BTreeSet<(usize, usize)> = san
+            .linter()
+            .expect("linter attached")
             .diags()
             .iter()
             .filter(|d| d.code.code() == "PW001")

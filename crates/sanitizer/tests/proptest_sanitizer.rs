@@ -52,7 +52,8 @@ proptest! {
         let groups = schedule(chunks, depth, stride_elems * 4);
         let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
         san.check_chunks("pt", &groups);
-        san.check_plan(&DispatchPlan::round_robin("pt", &groups, pool));
+        let plan = DispatchPlan::round_robin("pt", &groups, pool);
+        san.check_captured(&plan.label, &plan.node_refs(), false, false);
         prop_assert_eq!(san.reports(), &[]);
         // The checks genuinely ran (unless there was nothing to compare).
         if chunks > 1 {
@@ -97,10 +98,12 @@ proptest! {
         };
 
         let mut san = Sanitizer::new(SanitizeMode::PlanOnly);
-        san.check_plan(&build(None));
+        let plan = build(None);
+        san.check_captured(&plan.label, &plan.node_refs(), false, false);
         prop_assert_eq!(san.reports(), &[]);
 
-        san.check_plan(&build(Some((victim_chunk, victim_link))));
+        let plan = build(Some((victim_chunk, victim_link)));
+        san.check_captured(&plan.label, &plan.node_refs(), false, false);
         let missing: Vec<_> = san
             .reports()
             .iter()

@@ -18,20 +18,27 @@
 # round-trips every emitted file — fleet trace included — through the
 # standalone validate-trace binary), and the bench-json emitter (refreshes
 # BENCH_fleet.json; asserts the engine-level throughput rows are present).
+# The sanitize, lint, multi-gpu and fleet smokes are deterministic: their
+# stdout is diffed byte for byte against tests/golden/<smoke>_smoke.stdout
+# (regenerate a golden only together with an explanation in CHANGES.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --workspace --release
-cargo test --workspace -q
+cargo test --workspace -q --no-fail-fast
 cargo run -p glp4nn-bench --release --bin reproduce -- serving --smoke
-cargo run -p glp4nn-bench --release --bin reproduce -- sanitize --smoke
-cargo run -p glp4nn-bench --release --bin reproduce -- lint --smoke
+cargo run -p glp4nn-bench --release --bin reproduce -- sanitize --smoke |
+  diff -u tests/golden/sanitize_smoke.stdout -
+cargo run -p glp4nn-bench --release --bin reproduce -- lint --smoke |
+  diff -u tests/golden/lint_smoke.stdout -
 cargo run -p glp4nn-bench --release --bin reproduce -- interop --smoke
 cargo run -p glp4nn-bench --release --bin reproduce -- replay --smoke
-cargo run -p glp4nn-bench --release --bin reproduce -- multi-gpu --smoke
-cargo run -p glp4nn-bench --release --bin reproduce -- fleet --smoke
+cargo run -p glp4nn-bench --release --bin reproduce -- multi-gpu --smoke |
+  diff -u tests/golden/multi-gpu_smoke.stdout -
+cargo run -p glp4nn-bench --release --bin reproduce -- fleet --smoke |
+  diff -u tests/golden/fleet_smoke.stdout -
 cargo run -p glp4nn-bench --release --bin reproduce -- trace --smoke
 cargo run -p telemetry --release --bin validate-trace -- target/telemetry/*.trace.json
 

@@ -9,32 +9,42 @@
 //! ```
 //!
 //! — then bracket the code under measurement with [`start`]/[`stop`].
-//! Counting is off by default, so test-harness setup does not pollute
-//! the counter; binaries using it should still keep the measured tests
-//! in their own test binary for isolation.
+//! Counting is armed per thread: only allocations made by the thread that
+//! called [`start`] are counted, so tests running in parallel in the same
+//! binary (and the test harness itself) never pollute each other's
+//! windows. Code under measurement that hands work to other threads is
+//! not charged for their allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// A `#[global_allocator]` that counts `alloc`/`realloc` calls while
-/// armed via [`start`], delegating all actual work to [`System`].
+/// A `#[global_allocator]` that counts `alloc`/`realloc` calls made by a
+/// thread armed via [`start`], delegating all actual work to [`System`].
 pub struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    // Const-initialised `Cell`s of plain data have no destructor and need
+    // no lazy initialisation, so touching them from inside the allocator
+    // never allocates (or recurses into it).
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` tolerates calls during thread-local teardown.
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -43,15 +53,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
-/// Zero the counter and start counting allocations.
+/// Zero this thread's counter and start counting its allocations.
 pub fn start() {
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    ALLOCS.with(|n| n.set(0));
+    COUNTING.with(|c| c.set(true));
 }
 
-/// Stop counting and return the number of `alloc`/`realloc` calls since
-/// [`start`].
+/// Stop counting on this thread and return the number of `alloc`/`realloc`
+/// calls it made since [`start`].
 pub fn stop() -> u64 {
-    COUNTING.store(false, Ordering::SeqCst);
-    ALLOCS.load(Ordering::SeqCst)
+    COUNTING.with(|c| c.set(false));
+    ALLOCS.with(Cell::get)
 }

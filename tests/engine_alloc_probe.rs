@@ -9,8 +9,8 @@
 //! retained arena slot, and every trace row lands in capacity that the
 //! launch path reserved up front.
 //!
-//! Lives in its own test binary so other tests' allocations cannot
-//! pollute the counter.
+//! The counter is armed per thread, so only the measuring test's own
+//! allocations count even when the harness runs tests in parallel.
 
 #[path = "common/mod.rs"]
 mod common;

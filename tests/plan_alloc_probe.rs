@@ -13,8 +13,8 @@
 //! after one was attached and detached again — the instrumentation is a
 //! `None` check and the same sub-per-kernel bound holds.
 //!
-//! Lives in its own test binary so other tests' allocations cannot
-//! pollute the counter.
+//! The counter is armed per thread, so only the measuring test's own
+//! allocations count even when the harness runs tests in parallel.
 
 #[path = "common/mod.rs"]
 mod common;
