@@ -65,8 +65,10 @@ struct KernelRuntime {
     end: Option<SimTime>,
     state: KState,
     footprint: BlockFootprint,
-    nominal_block_ns: SimTime,
     bw_demand: f64,
+    /// Not yet visited by a dispatch pass while active: its first pass
+    /// tries every SM, later passes only the SMs freed since the last one.
+    unscanned: bool,
 }
 
 /// Queued event payloads. Ordering lives entirely in
@@ -136,9 +138,14 @@ pub struct Device {
     pending_trace: usize,
     trace: Vec<KernelTrace>,
     cmd_log: Vec<CmdRecord>,
+    /// Bitset of SMs a retiring burst freed room on since the last
+    /// dispatch (see [`Device::dispatch`]).
+    dirty_sms: Vec<u64>,
     /// Reusable per-SM block-placement scratch (avoids a heap allocation
-    /// per dispatch pass).
+    /// per dispatch pass); all zero between kernels.
     scratch_per_sm: Vec<u64>,
+    /// Reusable list of the dirty SMs, in ascending order.
+    scratch_dirty: Vec<usize>,
     /// Source-side state of copies enqueued on this device.
     copy_src: HashMap<u64, CopySrcState>,
     /// Copies whose source half reached its stream front, awaiting link
@@ -167,6 +174,7 @@ impl Device {
     /// Create a device with its default stream (stream 0).
     pub fn new(props: DeviceProps) -> Self {
         let sms = vec![SmState::new(); props.num_sms as usize];
+        let dirty_sms = vec![0; sms.len().div_ceil(64)];
         let bw = BandwidthTracker::new(&props);
         Device {
             props,
@@ -187,7 +195,9 @@ impl Device {
             pending_trace: 0,
             trace: Vec::new(),
             cmd_log: Vec::new(),
+            dirty_sms,
             scratch_per_sm: Vec::new(),
+            scratch_dirty: Vec::new(),
             copy_src: HashMap::new(),
             copy_ready: Vec::new(),
             copy_arrived: HashMap::new(),
@@ -342,7 +352,6 @@ impl Device {
         // which we pin to the device clock at enqueue).
         self.host_clock = self.host_clock.max(self.clock) + self.props.launch_overhead_ns;
         let id = KernelId(self.kernels.len() as u64);
-        let nominal = desc.cost.nominal_block_time_ns(&self.props, tpb);
         let demand = desc.cost.bandwidth_demand(&self.props, tpb);
         // Launch-time reservation: the completion this launch owes the
         // trace (and the episode's trailing sync marker in the command
@@ -360,8 +369,8 @@ impl Device {
             stream,
             launch_issued: self.host_clock,
             footprint,
-            nominal_block_ns: nominal,
             bw_demand: demand,
+            unscanned: true,
             desc,
         });
         if let Some(hook) = self.launch_hook.as_mut() {
@@ -844,9 +853,8 @@ impl Device {
 
     fn on_burst_done(&mut self, id: KernelId, sm: usize, count: u64, demand_milli: u64) {
         let fp = self.kernels[id.0 as usize].footprint;
-        for _ in 0..count {
-            self.sms[sm].update(&self.props, self.clock, &fp, false);
-        }
+        self.sms[sm].retire(&self.props, self.clock, &fp, count as u32);
+        self.dirty_sms[sm / 64] |= 1 << (sm % 64);
         self.bw.retire(demand_milli as f64 / 1000.0);
         let k = &mut self.kernels[id.0 as usize];
         k.blocks_done += count;
@@ -884,111 +892,134 @@ impl Device {
 
     /// Place as many blocks of active kernels as fit, round-robin across
     /// kernels, bursting per SM.
+    ///
+    /// On return no active kernel with unissued blocks fits on any SM. A
+    /// dispatch only takes SM resources, so a kernel that fits nowhere
+    /// after its turn still fits nowhere at the end of the pass: one pass
+    /// over `active` reaches the fixpoint. Between dispatches only a
+    /// retiring burst (which frees room on its own SM, marked in
+    /// `dirty_sms`) or a newly active kernel (`unscanned`) can break that,
+    /// so a kernel scanned before tries only the dirty SMs and a new one
+    /// tries them all. Both visit SMs in ascending order, so placements,
+    /// event order and bandwidth factors are those of a full scan.
     fn dispatch(&mut self, now: SimTime) {
-        loop {
-            let mut placed_any = false;
-            // Round-robin one SM-burst per kernel per pass. Index loop:
-            // `active` is not mutated inside a dispatch pass, and indexing
-            // avoids cloning the active set every pass.
-            for ai in 0..self.active.len() {
-                let id = self.active[ai];
-                let (remaining, fp, nominal, demand, sid) = {
-                    let k = &self.kernels[id.0 as usize];
-                    if k.state != KState::Active {
-                        continue;
-                    }
-                    (
-                        k.blocks_total - k.blocks_issued,
-                        k.footprint,
-                        k.nominal_block_ns,
-                        k.bw_demand,
-                        k.stream,
-                    )
-                };
-                if remaining == 0 {
-                    continue;
-                }
-                let _ = nominal;
-                // Wave placement: spread blocks one-per-SM in rotation,
-                // like the hardware block scheduler, until the grid is
-                // exhausted or no SM has room.
-                let num_sms = self.sms.len();
-                let mut per_sm = std::mem::take(&mut self.scratch_per_sm);
-                per_sm.clear();
-                per_sm.resize(num_sms, 0);
-                let mut placed_total = 0u64;
-                let mut progress = true;
-                while placed_total < remaining && progress {
-                    progress = false;
-                    for (smi, placed) in per_sm.iter_mut().enumerate().take(num_sms) {
-                        if placed_total >= remaining {
-                            break;
-                        }
-                        if self.sms[smi].fits(&self.props, &fp) {
-                            self.sms[smi].update(&self.props, now, &fp, true);
-                            *placed += 1;
-                            placed_total += 1;
-                            progress = true;
-                        }
-                    }
-                }
-                if placed_total == 0 {
-                    self.scratch_per_sm = per_sm;
-                    continue;
-                }
-                let factor = self.bw.place(demand * placed_total as f64);
-                // Residency-aware burst duration: SM issue throughput
-                // scales with resident warps up to `warps_for_peak`
-                // (latency hiding), then is shared warp-proportionally.
-                let cost = self.kernels[id.0 as usize].desc.cost;
-                let w_block = fp.threads.div_ceil(self.props.warp_size).max(1);
-                let bw_share = self.props.mem_bw_gbps * 1e9 / self.props.num_sms as f64;
-                for (smi, &n) in per_sm.iter().enumerate() {
-                    if n == 0 {
-                        continue;
-                    }
-                    let w_total = self.sms[smi]
-                        .threads_used
-                        .div_ceil(self.props.warp_size)
-                        .max(w_block);
-                    let rate_c = self.props.sm_peak_flops() * w_block as f64
-                        / w_total.max(self.props.warps_for_peak) as f64;
-                    let t_c = if cost.flops_per_block > 0.0 {
-                        cost.flops_per_block / rate_c
-                    } else {
-                        0.0
-                    };
-                    let t_m = if cost.dram_bytes_per_block > 0.0 {
-                        cost.dram_bytes_per_block / bw_share * factor
-                    } else {
-                        0.0
-                    };
-                    // The shared rate above already splits the SM among all
-                    // resident warps, so the n co-resident blocks of this
-                    // burst progress in parallel and retire together.
-                    let dur = (t_c.max(t_m) * 1e9 + 1000.0).ceil() as SimTime;
-                    self.push_ev(
-                        now + dur.max(1),
-                        sid,
-                        EvKind::BurstDone {
-                            kernel: id,
-                            sm: smi,
-                            count: n,
-                            demand_milli: (demand * n as f64 * 1000.0).round() as u64,
-                        },
-                    );
-                }
-                self.scratch_per_sm = per_sm;
-                let k = &mut self.kernels[id.0 as usize];
-                k.blocks_issued += placed_total;
-                if k.start.is_none() {
-                    k.start = Some(now);
-                }
-                placed_any = true;
+        let mut dirty = std::mem::take(&mut self.scratch_dirty);
+        dirty.clear();
+        for (w, word) in self.dirty_sms.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                dirty.push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
             }
-            if !placed_any {
-                break;
+        }
+        let mut per_sm = std::mem::take(&mut self.scratch_per_sm);
+        per_sm.resize(self.sms.len(), 0);
+        // Index loop: `active` is not mutated inside a dispatch pass, and
+        // indexing avoids cloning the active set every pass.
+        for ai in 0..self.active.len() {
+            let id = self.active[ai];
+            let k = &mut self.kernels[id.0 as usize];
+            debug_assert_eq!(k.state, KState::Active);
+            let full_scan = std::mem::replace(&mut k.unscanned, false);
+            let remaining = k.blocks_total - k.blocks_issued;
+            if remaining == 0 {
+                continue;
             }
+            if full_scan {
+                self.place_burst(id, now, remaining, 0..self.sms.len(), &mut per_sm);
+            } else {
+                self.place_burst(id, now, remaining, dirty.iter().copied(), &mut per_sm);
+            }
+        }
+        self.scratch_per_sm = per_sm;
+        self.scratch_dirty = dirty;
+    }
+
+    /// One kernel's turn in a dispatch pass: place up to `remaining` of its
+    /// blocks on the SMs `sms` yields (ascending), then queue one
+    /// `BurstDone` per SM that received blocks. `per_sm` is all zero on
+    /// entry and on return.
+    fn place_burst(
+        &mut self,
+        id: KernelId,
+        now: SimTime,
+        remaining: u64,
+        sms: impl Iterator<Item = usize> + Clone,
+        per_sm: &mut [u64],
+    ) {
+        let (fp, demand, sid) = {
+            let k = &self.kernels[id.0 as usize];
+            (k.footprint, k.bw_demand, k.stream)
+        };
+        // Wave placement: spread blocks one-per-SM in rotation, like the
+        // hardware block scheduler, until the grid is exhausted or no SM
+        // has room.
+        let mut placed_total = 0u64;
+        let mut progress = true;
+        while placed_total < remaining && progress {
+            progress = false;
+            for smi in sms.clone() {
+                if placed_total >= remaining {
+                    break;
+                }
+                if self.sms[smi].fits(&self.props, &fp) {
+                    self.sms[smi].place(&self.props, now, &fp);
+                    per_sm[smi] += 1;
+                    placed_total += 1;
+                    progress = true;
+                }
+            }
+        }
+        if placed_total == 0 {
+            return;
+        }
+        let factor = self.bw.place(demand * placed_total as f64);
+        // Residency-aware burst duration: SM issue throughput scales with
+        // resident warps up to `warps_for_peak` (latency hiding), then is
+        // shared warp-proportionally.
+        let cost = self.kernels[id.0 as usize].desc.cost;
+        let w_block = fp.threads.div_ceil(self.props.warp_size).max(1);
+        let bw_share = self.props.mem_bw_gbps * 1e9 / self.props.num_sms as f64;
+        for smi in sms {
+            let n = std::mem::take(&mut per_sm[smi]);
+            if n == 0 {
+                continue;
+            }
+            let w_total = self.sms[smi]
+                .threads_used
+                .div_ceil(self.props.warp_size)
+                .max(w_block);
+            let rate_c = self.props.sm_peak_flops() * w_block as f64
+                / w_total.max(self.props.warps_for_peak) as f64;
+            let t_c = if cost.flops_per_block > 0.0 {
+                cost.flops_per_block / rate_c
+            } else {
+                0.0
+            };
+            let t_m = if cost.dram_bytes_per_block > 0.0 {
+                cost.dram_bytes_per_block / bw_share * factor
+            } else {
+                0.0
+            };
+            // The shared rate above already splits the SM among all
+            // resident warps, so the n co-resident blocks of this burst
+            // progress in parallel and retire together.
+            let dur = (t_c.max(t_m) * 1e9 + 1000.0).ceil() as SimTime;
+            self.push_ev(
+                now + dur.max(1),
+                sid,
+                EvKind::BurstDone {
+                    kernel: id,
+                    sm: smi,
+                    count: n,
+                    demand_milli: (demand * n as f64 * 1000.0).round() as u64,
+                },
+            );
+        }
+        let k = &mut self.kernels[id.0 as usize];
+        k.blocks_issued += placed_total;
+        if k.start.is_none() {
+            k.start = Some(now);
         }
     }
 }
@@ -997,6 +1028,7 @@ impl Device {
 mod tests {
     use super::*;
     use crate::kernel::{Dim3, KernelCost, KernelDesc, LaunchConfig};
+    use proptest::prelude::*;
 
     fn kernel(name: &str, blocks: u32, threads: u32, flops: f64) -> KernelDesc {
         KernelDesc::new(
@@ -1219,5 +1251,163 @@ mod tests {
         let stats = dev.stats();
         assert!(stats.avg_occupancy <= 1.0 + 1e-9);
         assert!(stats.avg_occupancy > 0.0);
+    }
+
+    /// Block shapes `(threads, regs/thread, smem bytes)` that fit an empty
+    /// SM on every device below but bind on different limits (resident
+    /// blocks, threads, shared memory, registers), so an SM often has room
+    /// for one kernel's block and not another's.
+    const SHAPES: [(u32, u32, u32); 6] = [
+        (32, 16, 0),
+        (256, 32, 0),
+        (1024, 32, 0),
+        (128, 16, 40 * 1024),
+        (256, 128, 0),
+        (512, 64, 8192),
+    ];
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Launch {
+            stream: usize,
+            shape: usize,
+            blocks: u32,
+            flops: f64,
+            bytes: f64,
+        },
+        /// Record a fresh event on `stream`.
+        Record { stream: usize },
+        /// Wait on `stream` for an earlier recorded event (index taken
+        /// modulo the events recorded so far), so no wait can deadlock.
+        Wait { stream: usize, event: usize },
+    }
+
+    /// Launches, records and waits in the ratio 6:1:1, on random streams.
+    fn arb_op() -> impl Strategy<Value = Op> {
+        (
+            0u32..8,
+            0usize..1024,
+            0usize..1024,
+            0..SHAPES.len(),
+            1u32..400,
+            1.0e4..1.0e8f64,
+            0.0..1.0e6f64,
+        )
+            .prop_map(
+                |(kind, stream, event, shape, blocks, flops, bytes)| match kind {
+                    0 => Op::Record { stream },
+                    1 => Op::Wait { stream, event },
+                    _ => Op::Launch {
+                        stream,
+                        shape,
+                        blocks,
+                        flops,
+                        bytes,
+                    },
+                },
+            )
+    }
+
+    /// The dispatch invariant, by a full scan: no active kernel with
+    /// unissued blocks fits on any SM.
+    fn assert_dispatch_fixpoint(dev: &Device) {
+        for &id in &dev.active {
+            let k = &dev.kernels[id.0 as usize];
+            if k.blocks_issued == k.blocks_total {
+                continue;
+            }
+            for (smi, sm) in dev.sms.iter().enumerate() {
+                assert!(
+                    !sm.fits(&dev.props, &k.footprint),
+                    "t={}: kernel {} has {} unissued blocks and fits on SM {smi}",
+                    dev.clock,
+                    id.0,
+                    k.blocks_total - k.blocks_issued
+                );
+            }
+        }
+    }
+
+    /// Play queued work to completion one event at a time, checking the
+    /// invariant after the kick and after every event. Returns whether a
+    /// kernel ever waited for a concurrency slot.
+    fn step_checked(dev: &mut Device) -> bool {
+        dev.kick();
+        assert_dispatch_fixpoint(dev);
+        let mut saw_pending = !dev.pending.is_empty();
+        while dev.step_one() {
+            assert_dispatch_fixpoint(dev);
+            saw_pending |= !dev.pending.is_empty();
+        }
+        saw_pending
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Incremental dispatch reaches the same fixpoint a full rescan of
+        /// every active kernel on every SM would, over mixed footprints,
+        /// cross-stream event edges, more ready kernels than the
+        /// concurrency degree C, and two run episodes.
+        #[test]
+        fn dispatch_leaves_no_active_kernel_that_fits(
+            device in 0usize..3,
+            extra_streams in 1usize..12,
+            ops in prop::collection::vec(arb_op(), 1..80),
+            split in 0usize..80,
+        ) {
+            let props = [DeviceProps::k40c(), DeviceProps::p100(), DeviceProps::titan_xp()]
+                [device]
+                .clone();
+            let c = props.concurrency_degree() as usize;
+            let mut dev = Device::new(props);
+            let streams: Vec<_> = (0..c + extra_streams).map(|_| dev.create_stream()).collect();
+            let launch = |dev: &mut Device, stream: usize, shape: usize, blocks, flops, bytes| {
+                let (threads, regs, smem) = SHAPES[shape];
+                dev.launch(
+                    streams[stream],
+                    KernelDesc::new(
+                        "k",
+                        LaunchConfig::new(Dim3::linear(blocks), Dim3::linear(threads), regs, smem),
+                        KernelCost::new(flops, bytes),
+                    ),
+                );
+            };
+            // One long kernel per stream, launched faster than any of them
+            // finishes: more than C are ready at once.
+            for i in 0..streams.len() {
+                launch(&mut dev, i, i % SHAPES.len(), 1 + (i % 7) as u32, 5.0e8, 1.0e5);
+            }
+            let split = split.min(ops.len());
+            let mut recorded = Vec::new();
+            let mut launched = streams.len();
+            let mut saw_pending = false;
+            for ops in [&ops[..split], &ops[split..]] {
+                for op in ops {
+                    match *op {
+                        Op::Launch { stream, shape, blocks, flops, bytes } => {
+                            launch(&mut dev, stream % streams.len(), shape, blocks, flops, bytes);
+                            launched += 1;
+                        }
+                        Op::Record { stream } => {
+                            let ev = dev.create_event();
+                            dev.record_event(streams[stream % streams.len()], ev);
+                            recorded.push(ev);
+                        }
+                        Op::Wait { stream, event } => {
+                            if !recorded.is_empty() {
+                                let ev = recorded[event % recorded.len()];
+                                dev.wait_event(streams[stream % streams.len()], ev);
+                            }
+                        }
+                    }
+                }
+                saw_pending |= step_checked(&mut dev);
+            }
+            prop_assert!(saw_pending, "no kernel ever waited for a concurrency slot");
+            prop_assert!(dev.active.is_empty() && dev.pending.is_empty());
+            prop_assert_eq!(dev.trace().len(), launched);
+            prop_assert!(dev.kernels.iter().all(|k| k.state == KState::Done));
+        }
     }
 }

@@ -68,23 +68,32 @@ impl SmState {
             && self.regs_used + fp.regs <= dev.regs_per_sm
     }
 
-    /// Account the warp-time integral up to `now`, then apply a residency
-    /// change of `delta` blocks with footprint `fp`.
-    pub fn update(&mut self, dev: &DeviceProps, now: u64, fp: &BlockFootprint, place: bool) {
+    /// Account the warp-time integral up to `now` (residency is constant
+    /// since the last change).
+    fn advance(&mut self, dev: &DeviceProps, now: u64) {
         let warps_resident = self.threads_used.div_ceil(dev.warp_size) as u128;
         self.warp_time_integral += warps_resident * (now - self.last_change) as u128;
         self.last_change = now;
-        if place {
-            self.threads_used += fp.threads;
-            self.blocks_used += 1;
-            self.smem_used += fp.smem;
-            self.regs_used += fp.regs;
-        } else {
-            self.threads_used -= fp.threads;
-            self.blocks_used -= 1;
-            self.smem_used -= fp.smem;
-            self.regs_used -= fp.regs;
-        }
+    }
+
+    /// Place one block with footprint `fp` at `now`.
+    pub fn place(&mut self, dev: &DeviceProps, now: u64, fp: &BlockFootprint) {
+        self.advance(dev, now);
+        self.threads_used += fp.threads;
+        self.blocks_used += 1;
+        self.smem_used += fp.smem;
+        self.regs_used += fp.regs;
+    }
+
+    /// Retire `count` resident blocks with footprint `fp` at `now` — the
+    /// same state as `count` single retires at `now`, since every retire
+    /// after the first adds `warps × 0` to the integral.
+    pub fn retire(&mut self, dev: &DeviceProps, now: u64, fp: &BlockFootprint, count: u32) {
+        self.advance(dev, now);
+        self.threads_used -= fp.threads * count;
+        self.blocks_used -= count;
+        self.smem_used -= fp.smem * count;
+        self.regs_used -= fp.regs * count;
     }
 
     /// Fraction of the thread capacity in use right now.
@@ -123,10 +132,10 @@ mod tests {
         let fp = BlockFootprint::of(&dev, &cfg(512, 32, 8192));
         let mut sm = SmState::new();
         assert!(sm.fits(&dev, &fp));
-        sm.update(&dev, 100, &fp, true);
+        sm.place(&dev, 100, &fp);
         assert_eq!(sm.threads_used, 512);
         assert_eq!(sm.blocks_used, 1);
-        sm.update(&dev, 200, &fp, false);
+        sm.retire(&dev, 200, &fp, 1);
         assert_eq!(sm.threads_used, 0);
         assert_eq!(sm.blocks_used, 0);
         assert_eq!(sm.smem_used, 0);
@@ -138,8 +147,8 @@ mod tests {
         let dev = DeviceProps::p100(); // 2048 threads/SM
         let fp = BlockFootprint::of(&dev, &cfg(1024, 8, 0));
         let mut sm = SmState::new();
-        sm.update(&dev, 0, &fp, true);
-        sm.update(&dev, 0, &fp, true);
+        sm.place(&dev, 0, &fp);
+        sm.place(&dev, 0, &fp);
         assert_eq!(sm.threads_used, 2048);
         assert!(!sm.fits(&dev, &fp)); // third 1024-thread block won't fit
     }
@@ -149,9 +158,47 @@ mod tests {
         let dev = DeviceProps::p100();
         let fp = BlockFootprint::of(&dev, &cfg(64, 8, 0)); // 2 warps
         let mut sm = SmState::new();
-        sm.update(&dev, 0, &fp, true); // integral += 0
-        sm.update(&dev, 1000, &fp, false); // integral += 2 warps * 1000
+        sm.place(&dev, 0, &fp); // integral += 0
+        sm.retire(&dev, 1000, &fp, 1); // integral += 2 warps * 1000
         assert_eq!(sm.warp_time_integral, 2000);
+
+        // One retire of n blocks equals n single retires at the same time.
+        let fp = BlockFootprint::of(&dev, &cfg(96, 40, 1024)); // 3 warps
+        let mut one = SmState::new();
+        for t in [0, 10, 30, 60] {
+            one.place(&dev, t, &fp);
+        }
+        let mut many = one.clone();
+        one.retire(&dev, 100, &fp, 3);
+        for _ in 0..3 {
+            many.retire(&dev, 100, &fp, 1);
+        }
+        // 3*10 + 6*20 + 9*30 + 12*40 warp-ns before the retire.
+        assert_eq!(one.warp_time_integral, 900);
+        assert_eq!(one.warp_time_integral, many.warp_time_integral);
+        assert_eq!(one.last_change, many.last_change);
+        assert_eq!(
+            (
+                one.threads_used,
+                one.blocks_used,
+                one.smem_used,
+                one.regs_used
+            ),
+            (
+                many.threads_used,
+                many.blocks_used,
+                many.smem_used,
+                many.regs_used
+            )
+        );
+        assert_eq!(
+            (one.threads_used, one.blocks_used, one.smem_used),
+            (96, 1, 1024)
+        );
+        one.place(&dev, 150, &fp);
+        many.place(&dev, 150, &fp);
+        assert_eq!(one.warp_time_integral, 900 + 3 * 50);
+        assert_eq!(one.warp_time_integral, many.warp_time_integral);
     }
 
     #[test]
@@ -160,7 +207,7 @@ mod tests {
         let fp = BlockFootprint::of(&dev, &cfg(64, 8, 40 * 1024));
         let mut sm = SmState::new();
         assert!(sm.fits(&dev, &fp));
-        sm.update(&dev, 0, &fp, true);
+        sm.place(&dev, 0, &fp);
         assert!(!sm.fits(&dev, &fp)); // second 40 KiB block exceeds 48 KiB
     }
 }

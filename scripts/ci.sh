@@ -18,9 +18,11 @@
 # round-trips every emitted file — fleet trace included — through the
 # standalone validate-trace binary), and the bench-json emitter (refreshes
 # BENCH_fleet.json; asserts the engine-level throughput rows are present).
-# The sanitize, lint, multi-gpu and fleet smokes are deterministic: their
-# stdout is diffed byte for byte against tests/golden/<smoke>_smoke.stdout
-# (regenerate a golden only together with an explanation in CHANGES.md).
+# The paper's Table 5 and Figs. 7-9 and the serving, sanitize, lint,
+# interop, replay, multi-gpu and fleet smokes are deterministic: their
+# stdout is diffed byte for byte against tests/golden/<id>.stdout and
+# tests/golden/<smoke>_smoke.stdout (regenerate a golden only together
+# with an explanation in CHANGES.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,13 +30,20 @@ cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo build --workspace --release
 cargo test --workspace -q --no-fail-fast
-cargo run -p glp4nn-bench --release --bin reproduce -- serving --smoke
+for id in table5 fig7 fig8 fig9; do
+  cargo run -p glp4nn-bench --release --bin reproduce -- "$id" |
+    diff -u "tests/golden/$id.stdout" -
+done
+cargo run -p glp4nn-bench --release --bin reproduce -- serving --smoke |
+  diff -u tests/golden/serving_smoke.stdout -
 cargo run -p glp4nn-bench --release --bin reproduce -- sanitize --smoke |
   diff -u tests/golden/sanitize_smoke.stdout -
 cargo run -p glp4nn-bench --release --bin reproduce -- lint --smoke |
   diff -u tests/golden/lint_smoke.stdout -
-cargo run -p glp4nn-bench --release --bin reproduce -- interop --smoke
-cargo run -p glp4nn-bench --release --bin reproduce -- replay --smoke
+cargo run -p glp4nn-bench --release --bin reproduce -- interop --smoke |
+  diff -u tests/golden/interop_smoke.stdout -
+cargo run -p glp4nn-bench --release --bin reproduce -- replay --smoke |
+  diff -u tests/golden/replay_smoke.stdout -
 cargo run -p glp4nn-bench --release --bin reproduce -- multi-gpu --smoke |
   diff -u tests/golden/multi-gpu_smoke.stdout -
 cargo run -p glp4nn-bench --release --bin reproduce -- fleet --smoke |
